@@ -12,8 +12,8 @@ test:
 	$(GO) test ./...
 
 # Race smoke on the concurrent packages: the engine scheduler/executor,
-# sharded state and disk cache, the remote worker server/client, the job
-# broker and its wire types, the worker-budget semaphore and the
+# sharded state and disk cache, the broker HTTP service with its pull
+# worker and queue executor, the job broker and its wire types, the worker-budget semaphore and the
 # parallel tensor/nn kernels it feeds, the goroutine-parallel BFA
 # candidate scoring and the rowhammer engine it drives, plus the trace
 # replay layer.
@@ -23,11 +23,11 @@ race:
 		./internal/par/ ./internal/tensor/ ./internal/nn/ \
 		./internal/attack/ ./internal/rowhammer/
 
-# Loopback end-to-end gate for the remote executors: boots dramlockerd
-# on 127.0.0.1 in both topologies — push worker (-remote) and job-queue
-# broker with a pull worker (-broker) — runs the tiny preset through
-# each at workers 1 and 4, and asserts the reports are byte-identical to
-# local runs (plus warm -require-cached replays over shared -cache-dirs).
+# Loopback end-to-end gate for the broker transport: boots a dramlockerd
+# job-queue broker and a pull worker on 127.0.0.1, runs the tiny preset
+# through them (dramlocker -broker) at workers 1 and 4, and asserts the
+# reports are byte-identical to local runs (plus a warm -require-cached
+# replay over a shared -cache-dir).
 # Ends with the crash-recovery leg: a journaled broker is SIGKILLed
 # mid-run, restarted over its journal, and the run must finish
 # byte-identical anyway.

@@ -1,11 +1,12 @@
 package repro
 
-// One benchmark per paper table/figure (DESIGN.md §4) plus ablation
-// benches for the design choices of DESIGN.md §5. Each benchmark prints
-// the paper-style rows once (so `go test -bench=.` regenerates the
-// evaluation) and then times the underlying computation.
+// One benchmark per paper table/figure plus ablation benches for the
+// controller's design choices. Each benchmark prints the paper-style rows
+// once (so `go test -bench=.` regenerates the evaluation) and then times
+// the underlying computation.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -242,7 +243,7 @@ func BenchmarkRowHammerActivationTracking(b *testing.B) {
 }
 
 func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
-	v, err := experiments.NewVictim(benchPreset, experiments.ArchResNet20, 10)
+	v, err := experiments.TrainVictimCtx(context.Background(), benchPreset, experiments.ArchResNet20, 10, 8, 1.0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func BenchmarkQuantizedInferenceResNet20(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) --------------------------------------------------
+// --- Ablations -----------------------------------------------------------------
 
 // ablationSetup builds a defended system with the given controller tweaks
 // and measures how many attack iterations are denied and the victim-side

@@ -11,7 +11,6 @@
 //	dramlocker -exp 'fig8*' -preset tiny,small -workers 8
 //	dramlocker -exp all -preset tiny -json
 //	dramlocker -exp all -preset paper -cache-dir ~/.cache/dramlocker
-//	dramlocker -exp all -preset tiny -remote 10.0.0.7:9740,10.0.0.8:9740
 //	dramlocker -exp all -preset tiny -broker 10.0.0.9:9741 -tenant ci
 //	dramlocker -exp all -broker 10.0.0.9:9741,10.0.0.10:9741   # with failover
 //	dramlocker -broker 10.0.0.10:9741 -promote   # promote that standby
@@ -28,21 +27,15 @@
 // paper (see internal/experiments). -workers 0 uses every CPU; -workers 1
 // reproduces the old serial behavior.
 //
-// Remote execution: -remote hands the tasks to dramlockerd worker
-// daemons instead of the in-process pool. The scheduler stays local —
+// Distributed execution: -broker submits the tasks to a dramlockerd
+// -broker job queue instead of the in-process pool, and registered pull
+// workers (dramlockerd -pull) pick them up — membership is dynamic,
+// capacity is shared across tenants by weighted fairness, and
+// stragglers are hedged. -tenant names this run's fairness bucket and
+// -priority orders it within the tenant. The scheduler stays local —
 // ordering, seeding, merging and caching never leave this process — so
-// the report is byte-identical to a local run; workers that fail are
-// excluded and their tasks retried elsewhere, falling back to local
-// execution when the whole fleet is unreachable. Daemons must serve the
-// presets the run selects (dramlockerd -preset ...).
-//
-// Queue execution: -broker submits the tasks to a dramlockerd -broker
-// job queue instead, where registered pull workers pick them up —
-// membership is dynamic, capacity is shared across tenants by weighted
-// fairness, and stragglers are hedged. -tenant names this run's
-// fairness bucket and -priority orders it within the tenant. The same
-// scheduler-side guarantees hold: the report is byte-identical to a
-// local or -remote run. -remote and -broker are mutually exclusive.
+// the report is byte-identical to a local run. Workers must serve the
+// presets the run selects (dramlockerd -pull ... -preset ...).
 //
 // High availability: -broker accepts a comma-separated failover list
 // (primary first, standbys after). The executor prefers the reachable
@@ -92,7 +85,7 @@
 // every job replayed), which CI uses to guard the persistence path.
 //
 // Cancellation: SIGINT/SIGTERM cancel the run — queued work is skipped,
-// in-flight remote calls abort — and the process still renders the
+// in-flight broker jobs are canceled — and the process still renders the
 // partial report and flushes -cpuprofile/-memprofile before exiting.
 //
 // Profiling: -cpuprofile and -memprofile write pprof profiles of the
@@ -132,8 +125,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the result cache as JSON lines under this directory (empty = in-memory only)")
 	noCache := flag.Bool("no-cache", false, "disable result caching entirely (recompute everything)")
 	requireCached := flag.Bool("require-cached", false, "fail unless every job is served from the cache (CI warm-run gate)")
-	remoteAddrs := flag.String("remote", "", "comma-separated dramlockerd worker addresses (host:port); empty = in-process execution")
-	brokerAddr := flag.String("broker", "", "dramlockerd -broker address (host:port); submit tasks through the job queue instead of -remote push")
+	brokerAddr := flag.String("broker", "", "dramlockerd -broker address (host:port, or a comma-separated failover list); submit tasks through the job queue instead of the in-process pool")
 	tenant := flag.String("tenant", "", "broker fairness bucket this run submits under (default: the broker's default tenant)")
 	priority := flag.Int("priority", 0, "broker priority within the tenant (higher dispatches first)")
 	stats := flag.Bool("stats", false, "with -broker: fetch and render the broker's /v2/metrics, then exit (-json for the raw payload)")
@@ -176,7 +168,7 @@ func main() {
 		exp: *exp, preset: *preset, workers: *workers,
 		jsonOut: *jsonOut, list: *list, quiet: *quiet,
 		cacheDir: *cacheDir, noCache: *noCache, requireCached: *requireCached,
-		remote: *remoteAddrs, broker: *brokerAddr, tenant: *tenant, priority: *priority,
+		broker: *brokerAddr, tenant: *tenant, priority: *priority,
 		stats: *stats, promote: *promote, haToken: *haToken, fleet: *fleet, watch: *watch, plane: *planeAddr,
 	})
 	if err != nil {
@@ -221,7 +213,6 @@ type config struct {
 	cacheDir      string
 	noCache       bool
 	requireCached bool
-	remote        string
 	broker        string
 	tenant        string
 	priority      int
@@ -260,9 +251,6 @@ func run(ctx context.Context, cfg config) error {
 		}
 		return showFleet(ctx, firstAddr(cfg.broker), cfg.jsonOut, cfg.watch)
 	}
-	if cfg.remote != "" && cfg.broker != "" {
-		return fmt.Errorf("-remote and -broker are mutually exclusive (push vs queue dispatch)")
-	}
 
 	cache, err := buildCache(cfg)
 	if err != nil {
@@ -284,18 +272,6 @@ func run(ctx context.Context, cfg config) error {
 		Filter:  jobFilter(cfg.exp),
 		Cache:   cache,
 		Ctx:     ctx,
-	}
-	if addrs := experiments.SplitList(cfg.remote); len(addrs) > 0 {
-		re, err := remote.Dial(ctx, addrs, remote.Options{
-			Fallback: engine.NewLocalExecutor(reg),
-		})
-		if err != nil {
-			return err
-		}
-		opts.Executor = re
-		if !cfg.quiet {
-			fmt.Fprintf(os.Stderr, "remote    %s\n", strings.Join(re.Workers(), " "))
-		}
 	}
 	if cfg.broker != "" {
 		qe, err := remote.DialQueue(ctx, cfg.broker, remote.QueueOptions{

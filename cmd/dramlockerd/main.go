@@ -1,39 +1,29 @@
 // Command dramlockerd is the distributed-execution daemon. It runs in
-// one of three modes:
+// one of three modes, and refuses to start without one:
 //
-//	dramlockerd                                  # push worker on 127.0.0.1:9740
-//	dramlockerd -addr 0.0.0.0:9740 -capacity 8
-//	dramlockerd -preset tiny,small -name rack7
 //	dramlockerd -broker -addr 0.0.0.0:9741       # job-queue broker
 //	dramlockerd -broker -hedge-after 2m -weights ci=1,interactive=4
 //	dramlockerd -broker -journal-dir /var/lib/dramlocker -max-queued 1000
 //	dramlockerd -broker -follow 10.0.0.9:9741    # hot standby replicating that primary
 //	dramlockerd -broker -follow 10.0.0.9:9741 -takeover-after 10s
 //	dramlockerd -pull 10.0.0.9:9741              # pull worker for that broker
+//	dramlockerd -pull 10.0.0.9:9741 -preset tiny,small -capacity 8 -name rack7
 //	dramlockerd -pull 10.0.0.9:9741,10.0.0.10:9741   # with broker failover
 //	dramlockerd -result-plane -addr 0.0.0.0:9742 # content-addressed result plane
 //	dramlockerd -broker -result-plane            # broker + co-hosted plane
 //	dramlockerd -pull 10.0.0.9:9741 -plane 10.0.0.9:9742   # plane-attached worker
 //
-// Push worker (default): builds the same job registry as the CLI (one
-// job per preset × experiment, shards included) and executes the tasks a
-// scheduler POSTs to /v1/execute; GET /v1/status reports identity,
-// registry size, protocol and drain state. Tasks arrive as (job name,
-// shard index, seed, cache-key stem) — internal/api, protocol dlexec2 —
-// and the daemon refuses any task whose cache key its own registry
-// cannot reproduce, so a worker built from different preset knobs or
-// experiment code can never feed a scheduler's cache.
-//
-// Broker (-broker): serves the dlexec2 job queue instead — schedulers
-// submit jobs (dramlocker -broker), workers register and pull leases
+// Broker (-broker): serves the dlexec2 job queue — schedulers submit
+// jobs (dramlocker -broker), workers register and pull leases
 // (dramlockerd -pull). The broker executes nothing and holds no
 // registry; it routes opaque tasks with weighted per-tenant fairness
 // (-weights tenant=N,...), requeues tasks whose lease expires
 // (-lease-ttl), and hedges stragglers onto idle workers (-hedge-after,
-// 0 disables). GET /v1/status answers with role "broker". With
-// -journal-dir the backlog is crash-safe: submissions, completions and
-// cancels are fsynced to an append-only journal and replayed (then
-// compacted) on restart, so a SIGKILLed broker resumes where it died.
+// 0 disables). GET /v1/status reports identity, protocol, role
+// ("broker") and drain state. With -journal-dir the backlog is
+// crash-safe: submissions, completions and cancels are fsynced to an
+// append-only journal and replayed (then compacted) on restart, so a
+// SIGKILLed broker resumes where it died.
 // -max-queued (and per-tenant -max-queued-tenant overrides, in the
 // -weights syntax) caps each tenant's pending queue; submissions past
 // the cap get the retryable queue_full error. -max-submit-rate (and
@@ -70,10 +60,16 @@
 // quietly. On exit every mode logs a receipt line with the
 // process-wide backoff count and which faults actually fired.
 //
-// Pull worker (-pull broker-addr): registers with a broker and works
-// its queue — poll, execute against the local registry, renew, report.
-// Membership is dynamic: workers join and leave freely, and a worker
-// that dies mid-lease is recovered by lease expiry.
+// Pull worker (-pull broker-addr): builds the same job registry as the
+// CLI (one job per preset × experiment, shards included), registers
+// with a broker and works its queue — poll, execute against the local
+// registry, renew, report. Membership is dynamic: workers join and
+// leave freely, and a worker that dies mid-lease is recovered by lease
+// expiry. Tasks arrive as (job name, shard index, seed, cache-key
+// stem) — internal/api, protocol dlexec2 — and the worker refuses any
+// task whose cache key its own registry cannot reproduce (the broker
+// requeues it for another worker), so a worker built from different
+// preset knobs or experiment code can never feed a scheduler's cache.
 //
 // Result plane (-result-plane): serves the fleet-wide content-addressed
 // result store (internal/resultplane) — GET/PUT of versioned cache
@@ -84,24 +80,23 @@
 // leases. -plane-dir persists the store as JSON lines (replayed on
 // restart); without it the plane is in-memory.
 //
-// Workers (push or pull) attach to a plane with -plane ADDR: task
-// results are looked up plane-first (then the local in-process cache,
-// then computed) and written through, with the plane's claim API
-// ensuring only one worker in the fleet computes a given key. A dead
-// or unreachable plane degrades to plain local execution.
+// Pull workers attach to a plane with -plane ADDR: task results are
+// looked up plane-first (then the local in-process cache, then
+// computed) and written through, with the plane's claim API ensuring
+// only one worker in the fleet computes a given key. A dead or
+// unreachable plane degrades to plain local execution.
 //
-// In every mode SIGINT/SIGTERM drain before exit: a push worker flips
-// /v1/status to draining and refuses new tasks while in-flight ones
-// finish; a broker refuses new submissions and registrations; a pull
-// worker tells the broker to stop offering it leases and reports what
-// it already holds. Results, ordering, merging and caching all stay on
-// the scheduler side; daemons are stateless between tasks and keep no
-// result cache of their own.
+// In every mode SIGINT/SIGTERM drain before exit: a broker flips
+// /v1/status to draining and refuses new submissions and
+// registrations; a pull worker tells the broker to stop offering it
+// leases and reports what it already holds. Results, ordering, merging
+// and caching all stay on the scheduler side; workers are stateless
+// between tasks and keep no result cache of their own.
 //
-// -capacity bounds concurrent task executions (default: NumCPU). The
-// compute kernels inside each task share the process-wide internal/par
-// worker budget exactly as in the CLI, so a saturated daemon runs serial
-// kernels inside parallel tasks.
+// -capacity bounds a pull worker's concurrent task executions
+// (default: NumCPU). The compute kernels inside each task share the
+// process-wide internal/par worker budget exactly as in the CLI, so a
+// saturated worker runs serial kernels inside parallel tasks.
 package main
 
 import (
@@ -131,11 +126,11 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9740", "listen address (host:port); ignored with -pull")
-	preset := flag.String("preset", "tiny,small,paper", "comma-separated presets whose jobs this worker serves; ignored with -broker")
-	name := flag.String("name", "", "daemon name advertised in /v1/status (default: hostname)")
-	capacity := flag.Int("capacity", 0, "max concurrent task executions (0 = number of CPUs)")
-	broker := flag.Bool("broker", false, "run the job-queue broker instead of a push worker")
-	pull := flag.String("pull", "", "run a pull worker against the broker at this address instead of a push worker")
+	preset := flag.String("preset", "tiny,small,paper", "pull worker: comma-separated presets whose jobs this worker serves")
+	name := flag.String("name", "", "daemon name advertised in /v1/status and to the broker (default: hostname)")
+	capacity := flag.Int("capacity", 0, "pull worker: max concurrent task executions (0 = number of CPUs)")
+	broker := flag.Bool("broker", false, "run the job-queue broker")
+	pull := flag.String("pull", "", "run a pull worker against the broker at this address (or comma-separated failover list)")
 	leaseTTL := flag.Duration("lease-ttl", queue.DefaultLeaseTTL, "broker: lease duration before an unrenewed task requeues")
 	hedgeAfter := flag.Duration("hedge-after", 0, "broker: duplicate a straggling task onto an idle worker after this long (0 = off)")
 	weights := flag.String("weights", "", "broker: per-tenant fairness weights, tenant=N[,tenant=N...] (absent tenants weigh 1)")
@@ -158,6 +153,10 @@ func main() {
 	allowFaults := flag.Bool("allow-faults", false, "acknowledge that -fault-plan deliberately breaks this daemon")
 	flag.Parse()
 
+	if !*broker && *pull == "" && !*resultPlane {
+		fmt.Fprintln(os.Stderr, "dramlockerd: pick a mode: -broker (job queue), -pull ADDR (pull worker) or -result-plane (result store)")
+		os.Exit(1)
+	}
 	if *broker && *pull != "" {
 		fmt.Fprintln(os.Stderr, "dramlockerd: -broker and -pull are mutually exclusive")
 		os.Exit(1)
@@ -292,66 +291,26 @@ func run(addr, preset, name string, capacity int, broker bool, pull string, bf b
 		return err
 	}
 
-	if pull != "" {
-		var client *http.Client
-		if faults != nil {
-			client = &http.Client{Transport: &faultinject.Transport{Inj: faults}}
-		}
-		opts := remote.WorkerOptions{
-			Name:     name,
-			Capacity: capacity,
-			Client:   client,
-		}
-		if pf.attach != "" {
-			opts.Executor = planeExecutor(reg, name, pf.attach, faults)
-			log.Printf("dramlockerd %q attached to result plane %s", name, pf.attach)
-		}
-		w := remote.NewPullWorker(pull, reg, opts)
-		log.Printf("dramlockerd %q pulling from broker %s (%d jobs, capacity %d, proto %s)",
-			name, pull, reg.Len(), capacity, remote.ProtoVersion)
-		if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-		log.Printf("dramlockerd: drained, exiting")
-		return nil
+	var client *http.Client
+	if faults != nil {
+		client = &http.Client{Transport: &faultinject.Transport{Inj: faults}}
 	}
-
-	// Push worker: bind before announcing, so ":0" resolves to a concrete
-	// port and the log line doubles as a readiness signal (the e2e gate
-	// relies on it).
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+	opts := remote.WorkerOptions{
+		Name:     name,
+		Capacity: capacity,
+		Client:   client,
 	}
-	ws := remote.NewServer(reg, name, capacity)
 	if pf.attach != "" {
-		ws.SetExecutor(planeExecutor(reg, name, pf.attach, faults))
+		opts.Executor = planeExecutor(reg, name, pf.attach, faults)
 		log.Printf("dramlockerd %q attached to result plane %s", name, pf.attach)
 	}
-	srv := &http.Server{Handler: faultinject.Middleware(ws, faults)}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("dramlockerd %q serving %d jobs on %s (capacity %d, proto %s)",
-		name, reg.Len(), ln.Addr(), capacity, remote.ProtoVersion)
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Drain: advertise it (schedulers route around a draining worker),
-	// let in-flight tasks finish, bound the wait; releasing the signal
-	// handler here means a second Ctrl-C hard-exits immediately.
-	stop()
-	ws.Drain()
-	log.Printf("dramlockerd: shutting down (draining in-flight tasks)")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	w := remote.NewPullWorker(pull, reg, opts)
+	log.Printf("dramlockerd %q pulling from broker %s (%d jobs, capacity %d, proto %s)",
+		name, pull, reg.Len(), capacity, remote.ProtoVersion)
+	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}
+	log.Printf("dramlockerd: drained, exiting")
 	return nil
 }
 

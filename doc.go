@@ -6,8 +6,7 @@
 // fault injection, RowClone/SWAP, the DRAM-Locker ISA and controller, the
 // lock-table, baseline defenses, a pure-Go quantized-DNN substrate, the
 // BFA/PTA attacks, and the experiment harness that regenerates every table
-// and figure of the paper. See README.md for a guided tour, DESIGN.md for
-// the system inventory, and EXPERIMENTS.md for paper-vs-measured results.
+// and figure of the paper. See README.md for a guided tour.
 //
 // Experiments execute through internal/engine: each (preset, experiment)
 // pair is a named, self-contained job ("tiny/fig8a") in a registry, run
@@ -15,17 +14,18 @@
 // seeding, per-job timing/error capture, glob filtering, and result
 // caching keyed by the preset hash. The scheduler dispatches each task —
 // a monolithic job or one shard — through the pluggable engine.Executor
-// seam: LocalExecutor runs tasks in-process, and internal/remote ships
-// them to dramlockerd worker daemons over HTTP using the versioned wire
-// types of internal/api (tasks travel as job name + shard index + seed +
-// cache-key stem; workers re-resolve closures from their own registry).
-// Seeding, ordering, merging and caching stay scheduler-side, so reports
-// render as text or JSON and are byte-identical regardless of worker
-// count or transport. cmd/dramlocker is the CLI front end (-exp,
-// -preset, -workers, -remote, -json, -list); cmd/dramlockerd is the
-// worker daemon.
+// seam: LocalExecutor runs tasks in-process, and internal/remote submits
+// them through a dramlockerd job broker to pull workers over HTTP using
+// the versioned wire types of internal/api (tasks travel as job name +
+// shard index + seed + cache-key stem; workers re-resolve closures from
+// their own registry). Seeding, ordering, merging and caching stay
+// scheduler-side, so reports render as text or JSON and are
+// byte-identical regardless of worker count or transport. cmd/dramlocker
+// is the CLI front end (-exp, -preset, -workers, -broker, -json, -list);
+// cmd/dramlockerd is the broker, pull-worker and result-plane daemon.
 //
 // The root package holds the benchmark harness (bench_test.go): one
 // testing.B benchmark per paper table/figure plus ablation benches for the
-// design choices called out in DESIGN.md §5.
+// controller's design choices (lock granularity, relock interval, swap
+// destination, lock-table size, lock distance).
 package repro

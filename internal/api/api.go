@@ -2,11 +2,10 @@
 // protocol (dlexec2): the contract between the engine's scheduler and
 // anything that can execute a task, in-process or across the network.
 //
-// The protocol has two halves. The direct half (this file) is the push
-// transport: TaskSpec/TaskResult exchanged over one request, plus
-// WorkerStatus introspection. The queue half (queue.go) is the broker
-// service: JobSubmit/JobStatus on the submitting side and
-// WorkerHello/PollRequest/Lease/LeaseRenew/TaskDone on the pulling
+// This file holds the task itself — TaskSpec and the TaskResult that
+// answers it — plus WorkerStatus introspection. The broker service
+// (queue.go) carries tasks: JobSubmit/JobStatus on the submitting side
+// and WorkerHello/PollRequest/Lease/LeaseRenew/TaskDone on the pulling
 // side, for pull-based dispatch with dynamic worker membership.
 // Failures travel as typed Errors (error.go): a stable code plus a
 // Retryable flag, so clients decide retry/exclusion policy from the
@@ -143,24 +142,25 @@ func (r TaskResult) Validate(spec TaskSpec) error {
 type WorkerStatus struct {
 	// Proto must equal Version.
 	Proto string `json:"proto"`
-	// Name identifies the worker (hostname by default).
+	// Name identifies the daemon (hostname by default).
 	Name string `json:"name"`
-	// Role is what the daemon does: "worker" (executes tasks, push or
-	// pull) or "broker" (queues and dispatches them).
+	// Role is what the daemon does: "broker" (a primary that queues and
+	// dispatches tasks), "standby" (a follower replicating one),
+	// "fenced" (an ex-primary that lost leadership) or "result-plane"
+	// (the content-addressed result store). Pull workers serve no
+	// status.
 	Role string `json:"role,omitempty"`
 	// Draining reports the daemon is shutting down: it finishes in-flight
 	// work but refuses new tasks and registrations.
 	Draining bool `json:"draining,omitempty"`
-	// Jobs counts the jobs resolvable from the worker's registry.
+	// Jobs counts the jobs the broker retains (queued, running, recently
+	// done).
 	Jobs int `json:"jobs"`
-	// JobNames lists them (registration order) so operators can see what
-	// the worker will accept.
-	JobNames []string `json:"job_names,omitempty"`
-	// Capacity is the worker's concurrent task limit.
+	// Capacity counts the broker's live worker registrations.
 	Capacity int `json:"capacity"`
-	// Inflight counts tasks currently executing.
+	// Inflight counts tasks out on at least one active lease.
 	Inflight int `json:"inflight"`
-	// Completed counts tasks finished since the daemon started.
+	// Completed counts tasks finished since the broker started.
 	Completed uint64 `json:"completed"`
 }
 

@@ -1,12 +1,9 @@
 package api
 
-// Streaming progress and fleet-view messages. A worker executing a
-// task over the streaming execute path emits ExecuteEvent lines
-// (NDJSON: one JSON object per line) — progress heartbeats while the
-// task runs, then exactly one terminal line carrying the result or a
-// typed error. Pull workers piggyback their latest per-lease progress
-// on lease renewals, and the broker aggregates it into the /v2/fleet
-// snapshot that `dramlocker -fleet` renders.
+// Progress and fleet-view messages. Pull workers piggyback their latest
+// per-lease progress heartbeat on lease renewals, and the broker
+// aggregates it into the /v2/fleet snapshot that `dramlocker -fleet`
+// renders.
 
 // TaskProgress is one progress heartbeat for a running task.
 type TaskProgress struct {
@@ -23,15 +20,6 @@ type TaskProgress struct {
 	Total int `json:"total,omitempty"`
 	// ElapsedNS is time since the task started on the worker.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
-}
-
-// ExecuteEvent is one NDJSON line of a streaming execute response.
-// Exactly one field is set: Progress for heartbeats, Result or Err for
-// the single terminal line.
-type ExecuteEvent struct {
-	Progress *TaskProgress `json:"progress,omitempty"`
-	Result   *TaskResult   `json:"result,omitempty"`
-	Err      *Error        `json:"error,omitempty"`
 }
 
 // FleetStatus is the broker's live per-worker view (GET /v2/fleet).

@@ -270,8 +270,7 @@ type JobInfo struct {
 }
 
 // Listing is a full registry listing (`dramlocker -list -json`): the
-// same schema whether rendered by the CLI, a worker daemon, or the
-// broker UI.
+// same schema whether rendered by the CLI or by broker tooling.
 type Listing struct {
 	Proto string    `json:"proto"`
 	Jobs  []JobInfo `json:"jobs"`

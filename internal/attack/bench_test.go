@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/quant"
 )
 
@@ -31,7 +32,10 @@ func benchVictim(b *testing.B) (*quant.Model, nn.Batch) {
 // BenchmarkBFASearchIter times one steady-state search iteration —
 // gradient pass, top-k selection, trial forward passes — on a reused
 // Searcher. Allocs/op must stay at a small constant: no per-iteration
-// candidate slices, map churn or activation buffers.
+// candidate slices, map churn or activation buffers. The par budget is
+// pinned to 1, as in TestSearchIterationSteadyStateAllocs, so allocs/op
+// gauges that contract rather than the goroutine fan-out of the
+// parallel kernels.
 func BenchmarkBFASearchIter(b *testing.B) {
 	qm, ab := benchVictim(b)
 	cfg := DefaultBFAConfig()
@@ -39,6 +43,8 @@ func BenchmarkBFASearchIter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer par.SetBudget(par.Budget())
+	par.SetBudget(1)
 	s.step(ab) // warm scratch
 	b.ReportAllocs()
 	b.ResetTimer()

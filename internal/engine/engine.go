@@ -14,10 +14,10 @@
 // fan-out and the deterministic merge; the Executor interface owns only
 // the execution of one task (a monolithic job or a single shard),
 // addressed by the api wire types. LocalExecutor resolves tasks against
-// an in-process Registry; internal/remote ships the same TaskSpecs to
-// worker daemons over HTTP. Because ordering, merging and caching never
-// leave the scheduler, the determinism guarantees below hold under any
-// executor — local pool, remote fleet, or a mix via fallback.
+// an in-process Registry; internal/remote submits the same TaskSpecs
+// through an HTTP job broker to pull workers. Because ordering, merging
+// and caching never leave the scheduler, the determinism guarantees
+// below hold under any executor — local pool or broker fleet.
 //
 // Determinism: a job receives a Context whose Seed is derived from the
 // runner's BaseSeed and the job name, so a given (BaseSeed, job) pair
@@ -219,8 +219,8 @@ func (r *Registry) Register(j Job) error {
 }
 
 // Get returns the job registered under name, resolving a TaskSpec's job
-// field to its closures (the LocalExecutor and the worker daemon both
-// depend on this lookup).
+// field to its closures (the LocalExecutor, and through it every pull
+// worker, depends on this lookup).
 func (r *Registry) Get(name string) (Job, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

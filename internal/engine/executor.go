@@ -42,7 +42,7 @@ type StreamExecutor interface {
 
 // LocalExecutor resolves tasks against an in-process Registry and runs
 // them on the calling goroutine. It is the default executor of Run and
-// the execution core the remote worker daemon wraps.
+// the execution core a pull worker (internal/remote) wraps.
 type LocalExecutor struct {
 	reg *Registry
 	// name stamps TaskResult.Worker (diagnostics); empty means local.
@@ -55,7 +55,7 @@ func NewLocalExecutor(reg *Registry) *LocalExecutor {
 }
 
 // NewNamedLocalExecutor returns an executor over reg that stamps results
-// with the worker name (the daemon uses its hostname).
+// with the worker name (the pull worker uses its hostname).
 func NewNamedLocalExecutor(reg *Registry, name string) *LocalExecutor {
 	return &LocalExecutor{reg: reg, name: name}
 }
@@ -64,8 +64,8 @@ func NewNamedLocalExecutor(reg *Registry, name string) *LocalExecutor {
 // shard). Panics inside the job surface as TaskResult.Err; resolution
 // failures — unknown job, shard out of range, protocol or cache-key
 // mismatch — surface as typed *api.Error values so a scheduler (or the
-// worker daemon wrapping this executor) can tell "this worker cannot
-// run the task" from "the task failed", and key retry policy off
+// pull worker wrapping this executor) can tell "this worker cannot run
+// the task" from "the task failed", and key retry policy off
 // api.Error.Retryable.
 func (e *LocalExecutor) Execute(ctx context.Context, spec api.TaskSpec) (api.TaskResult, error) {
 	return e.ExecuteStream(ctx, spec, nil)

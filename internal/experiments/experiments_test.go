@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -193,7 +194,7 @@ func TestFig8PTAShape(t *testing.T) {
 
 func TestTrainVictimProducesUsableModel(t *testing.T) {
 	p := Tiny()
-	v, err := NewVictim(p, ArchResNet20, 10)
+	v, err := TrainVictimCtx(context.Background(), p, ArchResNet20, 10, 8, 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestTrainVictimProducesUsableModel(t *testing.T) {
 	if v.AttackBatch.X.Shape[0] != p.AttackBatch {
 		t.Fatalf("attack batch size %d", v.AttackBatch.X.Shape[0])
 	}
-	if _, err := NewVictim(p, Arch("mlp"), 10); err == nil {
+	if _, err := TrainVictimCtx(context.Background(), p, Arch("mlp"), 10, 8, 1.0, nil); err == nil {
 		t.Fatal("unknown arch must fail")
 	}
 }

@@ -30,7 +30,7 @@ func Fig1aCtx(ctx context.Context, p Preset) (*Fig1aResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	v, err := NewVictimCtx(ctx, p, ArchVGG11, 100)
+	v, err := TrainVictimCtx(ctx, p, ArchVGG11, 100, 8, 1.0, nil)
 	if err != nil {
 		return nil, err
 	}

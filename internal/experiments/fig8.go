@@ -87,7 +87,7 @@ func Fig8Ctx(ctx context.Context, p Preset, arch Arch, classes int) (*Fig8Result
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	v, err := NewVictimCtx(ctx, p, arch, classes)
+	v, err := TrainVictimCtx(ctx, p, arch, classes, 8, 1.0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func Fig8PTA(p Preset) (*Fig8PTAResult, error) {
 // Fig8PTACtx is Fig8PTA under a cancellation context (polled through the
 // victim training, the dominant cost).
 func Fig8PTACtx(ctx context.Context, p Preset) (*Fig8PTAResult, error) {
-	v, err := NewVictimCtx(ctx, p, ArchResNet20, 10)
+	v, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,7 @@ func RegisterJobs(reg *engine.Registry, p Preset) error {
 
 // BuildRegistry registers every experiment of the named presets into a
 // fresh registry. It is the one registry constructor shared by
-// cmd/dramlocker and cmd/dramlockerd: a scheduler and a worker daemon
+// cmd/dramlocker and cmd/dramlockerd: a scheduler and a pull worker
 // that name the same presets resolve byte-identical job sets (same names,
 // same shard layouts, same cache keys), which the executor protocol's
 // key echo then verifies per task. Duplicate preset names are ignored.

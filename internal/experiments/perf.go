@@ -30,7 +30,7 @@ func Perf(p Preset) (*PerfResult, error) {
 // victim training, the dominant cost).
 func PerfCtx(ctx context.Context, p Preset) (*PerfResult, error) {
 	build := func(protect bool) (*DefendedSystem, error) {
-		v, err := NewVictimCtx(ctx, p, ArchResNet20, 10)
+		v, err := TrainVictimCtx(ctx, p, ArchResNet20, 10, 8, 1.0, nil)
 		if err != nil {
 			return nil, err
 		}

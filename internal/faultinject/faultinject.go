@@ -10,8 +10,8 @@
 //     requests are dropped before sending, delayed, failed
 //     synthetically, or sent-then-disconnected (the reply is lost but
 //     the server acted — the nastiest distributed-systems case);
-//   - the server side, as a middleware (Middleware) over the push
-//     worker's and the broker's handlers: requests are dropped (the
+//   - the server side, as a middleware (Middleware) over the broker's
+//     and the result plane's handlers: requests are dropped (the
 //     connection is severed with no response), delayed or failed;
 //   - the journal's write path (queue.Journal consults an Injector):
 //     appends are torn mid-record (the SIGKILL wound, without the

@@ -1,3 +1,26 @@
+// Package remote moves the engine's Executor seam across process
+// boundaries, speaking protocol dlexec2 (internal/api) over HTTP through
+// a job-queue broker: a BrokerServer fronts an internal/queue broker
+// (submit/poll/cancel plus the worker lease API), PullWorker attaches a
+// registry to a broker and pulls leases, and QueueExecutor submits the
+// scheduler's tasks through the broker. A Follower keeps a hot standby
+// broker replicating the primary's journal.
+//
+// The wire contract is internal/api: a task ships as (job name, shard
+// index, seed, cache-key stem) — never code — and the executing worker
+// re-resolves the closures from its own registry, refusing tasks whose
+// cache key it cannot reproduce. Because the scheduler keeps ordering,
+// merging, seeding and caching local (see internal/engine), a report
+// produced through the broker is byte-identical to a local run.
+//
+// Failures travel as typed api.Error JSON bodies: a stable code plus a
+// Retryable flag. Clients never guess from HTTP status codes — a
+// non-retryable error fails the task immediately, a retryable one is
+// backed off and retried (a refusing worker abandons its lease and the
+// broker requeues the task for another).
+//
+// Brokers and result planes answer GET /v1/status (StatusPath) with an
+// api.WorkerStatus; the broker routes are listed below.
 package remote
 
 import (
@@ -15,6 +38,7 @@ import (
 // worker side is the pull-dispatch lease API; both speak typed api
 // messages with api.Error bodies on failure.
 const (
+	StatusPath      = "/v1/status"      // GET -> api.WorkerStatus (proto, role, drain state)
 	SubmitPath      = "/v2/submit"      // POST api.JobSubmit -> api.SubmitReply
 	SubmitBatchPath = "/v2/submitbatch" // POST api.JobSubmitBatch -> api.SubmitBatchReply
 	JobStatusPath   = "/v2/job"         // GET ?id=...[&wait=seconds] -> api.JobStatus
@@ -31,6 +55,10 @@ const (
 	PromotePath     = "/v2/promote"     // POST api.PromoteRequest -> api.PromoteReply
 	FencePath       = "/v2/fence"       // POST api.FenceRequest -> api.FenceReply
 )
+
+// ProtoVersion re-exports the wire protocol revision (api.Version) so
+// daemons and CLIs can log it without importing the api package.
+const ProtoVersion = api.Version
 
 // maxStatusWait bounds the job-status long poll so a stuck client
 // cannot park a handler forever; clients simply re-issue the wait.
@@ -51,9 +79,10 @@ const drainingRetryAfter = time.Second
 // reproduce) and re-checked by the submitting scheduler on the result
 // echo, so a broker cannot poison anyone's cache even in principle.
 //
-// GET /v1/status answers like a worker daemon (role "broker"), so
-// operators can probe protocol compatibility and drain state of any
-// dlexec2 daemon the same way.
+// GET /v1/status answers with role "broker" ("standby" or "fenced" for
+// a follower or a fenced ex-primary), so operators and DialQueue can
+// probe protocol compatibility, leadership and drain state the same way
+// as on a result plane.
 type BrokerServer struct {
 	name     string
 	b        *queue.Broker
@@ -333,13 +362,14 @@ func (s *BrokerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 		role = "fenced"
 	}
 	reply(w, api.WorkerStatus{
-		Proto:    api.Version,
-		Name:     s.name,
-		Role:     role,
-		Draining: s.draining.Load(),
-		Capacity: st.Workers,
-		Inflight: st.Leased,
-		Jobs:     st.Jobs,
+		Proto:     api.Version,
+		Name:      s.name,
+		Role:      role,
+		Draining:  s.draining.Load(),
+		Capacity:  st.Workers,
+		Inflight:  st.Leased,
+		Jobs:      st.Jobs,
+		Completed: uint64(st.Completed),
 	})
 }
 

@@ -110,7 +110,7 @@ type QueueOptions struct {
 // executor long-polls the job status until a worker's result lands.
 // Because the scheduler still owns seeding, ordering, merging and
 // caching, a report produced through the queue is byte-identical to a
-// local or push-remote run — the broker only changes who executes.
+// local run — the broker only changes who executes.
 type QueueExecutor struct {
 	name     string
 	tenant   string
@@ -158,9 +158,11 @@ type submitOutcome struct {
 // address startup stays strict: an unreachable, version-mismatched or
 // draining broker is a configuration error. With a list, the first
 // reachable primary (role "broker", not draining) wins; if only
-// standbys answer — a takeover is mid-flight — the executor starts
-// against a standby and follows the not_leader hints to the new
-// primary once it exists.
+// standbys or fenced ex-primaries answer — a takeover is mid-flight —
+// the executor starts against one and follows the not_leader hints to
+// the new primary once it exists. A target answering with any other
+// role (a result plane, say) is a configuration error: it would accept
+// no submissions, and the run would retry until its context ended.
 func DialQueue(ctx context.Context, addr string, opts QueueOptions) (*QueueExecutor, error) {
 	targets := splitTargets(addr)
 	if len(targets) == 0 {
@@ -188,6 +190,9 @@ func DialQueue(ctx context.Context, addr string, opts QueueOptions) (*QueueExecu
 				firstErr = fmt.Errorf("remote: broker %s: %w", t, err)
 			}
 			continue
+		}
+		if st.Role != "broker" && st.Role != "standby" && st.Role != "fenced" {
+			return nil, fmt.Errorf("remote: %s (%s) answers with role %q, not a broker", t, st.Name, st.Role)
 		}
 		if st.Draining {
 			if firstErr == nil {

@@ -2,18 +2,19 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/engine"
+	"repro/internal/queue"
 )
 
 // testRegistry builds seed-dependent jobs — monoliths plus one sharded
@@ -72,233 +73,45 @@ func reportText(rep *engine.Report) string {
 	return b.String()
 }
 
-func startWorker(t *testing.T, reg *engine.Registry, name string, capacity int) *httptest.Server {
+// statusServer answers GET /v1/status with a fixed WorkerStatus.
+func statusServer(t *testing.T, st api.WorkerStatus) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(NewServer(reg, name, capacity))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(st)
+	}))
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-func dial(t *testing.T, opts Options, addrs ...string) *RemoteExecutor {
-	t.Helper()
-	re, err := Dial(context.Background(), addrs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return re
-}
-
-// TestRemoteReportMatchesLocal is the transport-independence guarantee:
-// the same registry scheduled through a loopback worker renders the same
-// report as the in-process pool, at several worker counts.
-func TestRemoteReportMatchesLocal(t *testing.T) {
-	ts := startWorker(t, testRegistry(t), "w1", 4)
-	local, err := engine.Run(testRegistry(t), engine.Options{Workers: 1, BaseSeed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := local.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		re := dial(t, Options{}, ts.URL)
-		rep, err := engine.Run(testRegistry(t), engine.Options{Workers: workers, BaseSeed: 5, Executor: re})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reportText(rep) != reportText(local) {
-			t.Fatalf("workers=%d remote report diverged:\n%s\nvs local\n%s", workers, reportText(rep), reportText(local))
-		}
-	}
-}
-
-func TestDialRejectsProtocolMismatch(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"proto":"dlexec999","name":"future","capacity":1}`)
-	}))
-	defer ts.Close()
-	if _, err := Dial(context.Background(), []string{ts.URL}, Options{}); err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Fatalf("dial must reject a future worker: %v", err)
-	}
-}
-
-func TestDialRejectsUnreachableWorker(t *testing.T) {
-	if _, err := Dial(context.Background(), []string{"127.0.0.1:1"}, Options{}); err == nil {
-		t.Fatal("dial must fail when a worker is unreachable")
-	}
-}
-
-// TestRetryWithExclusion: a worker that accepts status probes but fails
-// every execution is excluded per task, and the healthy worker serves the
-// whole run.
-func TestRetryWithExclusion(t *testing.T) {
-	good := startWorker(t, testRegistry(t), "good", 4)
-
-	// The bad worker answers /v1/status like a healthy daemon but 500s
-	// every /v1/execute.
-	statusSrc := NewServer(testRegistry(t), "bad", 4)
-	var badHits atomic.Int64
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == StatusPath {
-			statusSrc.ServeHTTP(w, r)
-			return
-		}
-		badHits.Add(1)
-		http.Error(w, "disk on fire", http.StatusInternalServerError)
-	}))
-	defer bad.Close()
-
-	re := dial(t, Options{}, bad.URL, good.URL)
-	rep, err := engine.Run(testRegistry(t), engine.Options{Workers: 2, BaseSeed: 5, Executor: re})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("run must survive a failing worker: %v", err)
-	}
-	if badHits.Load() == 0 {
-		t.Fatal("bad worker was never tried (test proves nothing)")
-	}
-	local, err := engine.Run(testRegistry(t), engine.Options{Workers: 1, BaseSeed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reportText(rep) != reportText(local) {
-		t.Fatal("report diverged under worker failure")
-	}
-	// After downAfter consecutive failures the bad worker stops being
-	// selected at all. Up to Workers-1 extra hits can race in before the
-	// marker trips, hence the slack.
-	if hits := badHits.Load(); hits > downAfter+1 {
-		t.Fatalf("bad worker kept being tried after being marked down: %d hits", hits)
-	}
-}
-
-// TestDownWorkerReprobedAfterBackoff: a worker down-marked after
-// downAfter consecutive failures sits out the backoff, is offered one
-// probe task once it elapses, and rejoins selection when the probe
-// succeeds — instead of staying out for the whole run.
-func TestDownWorkerReprobedAfterBackoff(t *testing.T) {
-	good := startWorker(t, testRegistry(t), "good", 4)
-
-	// The flaky worker 500s /v1/execute while failing is set and serves
-	// normally otherwise.
-	inner := NewServer(testRegistry(t), "flaky", 4)
-	var failing atomic.Bool
-	var execHits atomic.Int64
-	failing.Store(true)
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == ExecutePath {
-			execHits.Add(1)
-			if failing.Load() {
-				http.Error(w, "transient outage", http.StatusInternalServerError)
-				return
+// TestDialQueueRejects: DialQueue fails at startup — naming the
+// reason — against anything it could not submit to: an unreachable
+// address, a daemon from another protocol revision, a daemon that is
+// not a broker, and a draining broker.
+func TestDialQueueRejects(t *testing.T) {
+	draining, ts := startBroker(t, queue.Config{})
+	draining.Drain()
+	for _, tc := range []struct {
+		name, addr, want string
+	}{
+		{"unreachable", "127.0.0.1:1", "broker http://127.0.0.1:1"},
+		{"foreign proto", statusServer(t, api.WorkerStatus{Proto: "dlexec999", Name: "future", Role: "broker"}).URL, "protocol version"},
+		{"result plane", statusServer(t, api.WorkerStatus{Proto: api.Version, Name: "rp", Role: "result-plane"}).URL, `role "result-plane"`},
+		{"draining", ts.URL, "draining"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := DialQueue(context.Background(), tc.addr, QueueOptions{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("dial %s: %v, want an error containing %q", tc.addr, err, tc.want)
 			}
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer flaky.Close()
-
-	// The good worker is dialed first: on load ties the stable
-	// least-loaded sort prefers it, so this order proves the elapsed
-	// probe is dispatched ahead of the live fleet instead of starving
-	// behind it.
-	re := dial(t, Options{ReprobeAfter: time.Minute}, good.URL, flaky.URL)
-	clock := time.Now()
-	re.now = func() time.Time { return clock }
-
-	run := func() *engine.Report {
-		t.Helper()
-		rep, err := engine.Run(testRegistry(t), engine.Options{Workers: 2, BaseSeed: 5, Executor: re})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	// Run 1: the flaky worker fails its way to down-marked.
-	run()
-	downHits := execHits.Load()
-	if downHits < downAfter {
-		t.Fatalf("flaky worker hit %d times, want >= %d to trip down-marking", downHits, downAfter)
-	}
-
-	// Run 2, inside the backoff: the worker must not be probed.
-	run()
-	if got := execHits.Load(); got != downHits {
-		t.Fatalf("down worker probed %d times during backoff", got-downHits)
-	}
-
-	// Heal the worker and advance past the backoff: the next run probes
-	// it, the probe succeeds, and it serves tasks again.
-	failing.Store(false)
-	clock = clock.Add(2 * time.Minute)
-	rep := run()
-	if got := execHits.Load(); got <= downHits {
-		t.Fatal("down worker never re-probed after the backoff elapsed")
-	}
-	for _, w := range re.workers {
-		if w.name == "flaky" && w.down() {
-			t.Fatal("successful probe must restore the worker")
-		}
-	}
-	local, err := engine.Run(testRegistry(t), engine.Options{Workers: 1, BaseSeed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reportText(rep) != reportText(local) {
-		t.Fatal("report diverged across the re-probation cycle")
+		})
 	}
 }
 
-// TestFallbackToLocal: when every worker dies after dial, tasks run on
-// the fallback executor and the run still completes correctly.
-func TestFallbackToLocal(t *testing.T) {
-	reg := testRegistry(t)
-	ts := httptest.NewServer(NewServer(reg, "doomed", 2))
-	re := dial(t, Options{Fallback: engine.NewLocalExecutor(reg)}, ts.URL)
-	ts.Close() // the fleet dies between dial and dispatch
-
-	rep, err := engine.Run(reg, engine.Options{Workers: 2, BaseSeed: 5, Executor: re})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("fallback must absorb a dead fleet: %v", err)
-	}
-	local, err := engine.Run(testRegistry(t), engine.Options{Workers: 1, BaseSeed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reportText(rep) != reportText(local) {
-		t.Fatal("fallback report diverged from local")
-	}
-}
-
-// TestNoFallbackSurfacesFleetFailure: without a fallback, a dead fleet
-// fails the tasks with a transport-shaped error.
-func TestNoFallbackSurfacesFleetFailure(t *testing.T) {
-	reg := testRegistry(t)
-	ts := httptest.NewServer(NewServer(reg, "doomed", 2))
-	re := dial(t, Options{}, ts.URL)
-	ts.Close()
-
-	rep, err := engine.Run(reg, engine.Options{Workers: 2, Executor: re, Filter: []string{"mono0"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() != 1 || !strings.Contains(rep.Results[0].Err, "remote: task mono0") {
-		t.Fatalf("fleet failure not surfaced: %+v", rep.Results[0])
-	}
-}
-
-// TestWorkerRefusesForeignCacheKey: a worker whose registry derived a
-// different cache key (different presets or code) must refuse the task;
-// with a local fallback the run still completes with correct results.
+// TestWorkerRefusesForeignCacheKey: a pull worker whose registry
+// derived a different cache key (different presets or code) refuses
+// the task and abandons its lease; the broker requeues it after the
+// lease expires and an honest worker serves it, so the report matches
+// local and the foreign worker's output never reaches it.
 func TestWorkerRefusesForeignCacheKey(t *testing.T) {
 	foreign := engine.NewRegistry()
 	if err := foreign.Register(engine.Job{Name: "mono0", Key: "mono0@OTHERHASH", Run: func(engine.Context) (engine.Output, error) {
@@ -306,125 +119,91 @@ func TestWorkerRefusesForeignCacheKey(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	ts := startWorker(t, foreign, "foreign", 2)
+	bs, ts := startBroker(t, queue.Config{LeaseTTL: 50 * time.Millisecond})
+	startPullWorker(t, ts.URL, foreign, "foreign", 1)
 
-	reg := testRegistry(t)
-	re := dial(t, Options{Fallback: engine.NewLocalExecutor(reg)}, ts.URL)
-	rep, err := engine.Run(reg, engine.Options{Workers: 1, BaseSeed: 5, Executor: re, Filter: []string{"mono0"}})
-	if err != nil {
+	type outcome struct {
+		rep *engine.Report
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		qe := dialQueue(t, ts.URL, QueueOptions{})
+		rep, err := engine.Run(testRegistry(t), engine.Options{Workers: 1, BaseSeed: 5, Executor: qe, Filter: []string{"mono0"}})
+		done <- outcome{rep, err}
+	}()
+
+	// The foreign worker leases the task, refuses it (key_mismatch) and
+	// abandons the lease; only then does an honest worker join.
+	deadline := time.Now().Add(10 * time.Second)
+	for bs.Broker().Stats().Requeues == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("broker never requeued the abandoned lease")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	startPullWorker(t, ts.URL, testRegistry(t), "honest", 1)
+
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if err := got.rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(rep.Results[0].Text, "poisoned") {
+	if strings.Contains(reportText(got.rep), "poisoned") {
 		t.Fatal("foreign worker's result leaked into the report")
 	}
 	local, err := engine.Run(testRegistry(t), engine.Options{Workers: 1, BaseSeed: 5, Filter: []string{"mono0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reportText(rep) != reportText(local) {
-		t.Fatal("key-mismatch recovery diverged from local")
+	if reportText(got.rep) != reportText(local) {
+		t.Fatalf("key-mismatch recovery diverged from local:\n%s\nvs\n%s", reportText(got.rep), reportText(local))
 	}
 }
 
-// TestPerWorkerInflightLimit: the client never holds more than
-// InflightPerWorker requests open against one worker, even when the
-// scheduler offers more parallelism.
-func TestPerWorkerInflightLimit(t *testing.T) {
-	const limit = 2
-	reg := engine.NewRegistry()
-	for i := 0; i < 8; i++ {
-		if err := reg.Register(engine.Job{Name: fmt.Sprintf("slow%d", i), Run: func(engine.Context) (engine.Output, error) {
-			time.Sleep(20 * time.Millisecond)
-			return engine.Output{Text: "ok"}, nil
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+// submitRecorder wraps a broker server and records the job ids its
+// batch-submit replies hand out.
+type submitRecorder struct {
+	h   http.Handler
+	mu  sync.Mutex
+	ids []string
+}
 
-	var mu sync.Mutex
-	cur, peak := 0, 0
-	inner := NewServer(reg, "w", 8)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == ExecutePath {
-			mu.Lock()
-			cur++
-			if cur > peak {
-				peak = cur
+func (s *submitRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != SubmitBatchPath {
+		s.h.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	s.h.ServeHTTP(rec, r)
+	var rep api.SubmitBatchReply
+	if json.Unmarshal(rec.Body.Bytes(), &rep) == nil {
+		s.mu.Lock()
+		for _, j := range rep.Jobs {
+			if j.ID != "" {
+				s.ids = append(s.ids, j.ID)
 			}
-			mu.Unlock()
-			defer func() { mu.Lock(); cur--; mu.Unlock() }()
 		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	re := dial(t, Options{InflightPerWorker: limit}, ts.URL)
-	rep, err := engine.Run(reg, engine.Options{Workers: 8, Executor: re})
-	if err != nil {
-		t.Fatal(err)
+		s.mu.Unlock()
 	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if peak > limit {
-		t.Fatalf("peak inflight %d exceeds limit %d", peak, limit)
-	}
-}
-
-// TestServerStatus: /v1/status reports identity, registry and protocol.
-func TestServerStatus(t *testing.T) {
-	reg := testRegistry(t)
-	ts := startWorker(t, reg, "rack7", 3)
-	re := dial(t, Options{}, ts.URL)
-	st, err := re.status(context.Background(), strings.TrimRight(ts.URL, "/"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Name != "rack7" || st.Capacity != 3 || st.Jobs != reg.Len() {
-		t.Fatalf("status %+v", st)
-	}
-	if len(st.JobNames) != reg.Len() {
-		t.Fatalf("status names %v", st.JobNames)
-	}
-	if err := api.CheckProto(st.Proto); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServerRejectsMalformedAndForeignSpecs covers the HTTP error paths.
-func TestServerRejectsMalformedAndForeignSpecs(t *testing.T) {
-	ts := startWorker(t, testRegistry(t), "w", 2)
-	post := func(body string) *http.Response {
-		resp, err := http.Post(ts.URL+ExecutePath, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	if resp := post("{garbage"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed spec: %s", resp.Status)
-	}
-	if resp := post(`{"proto":"old","job":"mono0","shard":-1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("foreign proto: %s", resp.Status)
-	}
-	if resp := post(`{"proto":"` + api.Version + `","job":"nosuch","shard":-1}`); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("unknown job: %s", resp.Status)
-	}
+	w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
 }
 
 // TestCancellationAbortsRemoteCalls: cancelling the scheduler context
-// fails queued remote tasks fast and surfaces the cancellation.
+// while every task is running on a pull worker fails the in-flight
+// tasks fast, and the executor cancels their jobs at the broker so the
+// abandoned work leaves the queue.
 func TestCancellationAbortsRemoteCalls(t *testing.T) {
 	reg := engine.NewRegistry()
 	release := make(chan struct{})
+	started := make(chan struct{}, 3)
 	for i := 0; i < 3; i++ {
 		if err := reg.Register(engine.Job{Name: fmt.Sprintf("block%d", i), Run: func(c engine.Context) (engine.Output, error) {
+			started <- struct{}{}
 			select {
 			case <-release:
 			case <-c.Ctx.Done():
@@ -435,20 +214,134 @@ func TestCancellationAbortsRemoteCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := startWorker(t, reg, "w", 4)
-	re := dial(t, Options{}, ts.URL)
+	b := queue.New(queue.Config{})
+	rec := &submitRecorder{h: NewBrokerServer(b, "qb")}
+	ts := httptest.NewServer(rec)
+	t.Cleanup(ts.Close)
+	startPullWorker(t, ts.URL, reg, "w", 3)
+	t.Cleanup(func() { close(release) })
+	qe := dialQueue(t, ts.URL, QueueOptions{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(50 * time.Millisecond)
+		for i := 0; i < 3; i++ {
+			<-started
+		}
 		cancel()
 	}()
-	rep, err := engine.Run(reg, engine.Options{Workers: 3, Executor: re, Ctx: ctx})
-	close(release)
+	rep, err := engine.Run(reg, engine.Options{Workers: 3, Executor: qe, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Failed() != 3 {
 		t.Fatalf("failed = %d, want 3 (cancellation must fail in-flight remote tasks)", rep.Failed())
+	}
+	rec.mu.Lock()
+	ids := append([]string(nil), rec.ids...)
+	rec.mu.Unlock()
+	if len(ids) != 3 {
+		t.Fatalf("broker handed out %d job ids, want 3: %v", len(ids), ids)
+	}
+	// A job whose submit reply raced the cancellation is canceled by a
+	// background reaper, so allow the last cancel a moment to land.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, id := range ids {
+		for {
+			st, err := b.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == api.JobCanceled {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s is %s, want canceled", id, st.State)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestPerWorkerInflightLimit: a pull worker never runs more than its
+// Capacity tasks at once, even when the scheduler offers more
+// parallelism through the broker.
+func TestPerWorkerInflightLimit(t *testing.T) {
+	const limit = 2
+	var mu sync.Mutex
+	cur, peak := 0, 0
+	reg := engine.NewRegistry()
+	for i := 0; i < 8; i++ {
+		if err := reg.Register(engine.Job{Name: fmt.Sprintf("slow%d", i), Run: func(engine.Context) (engine.Output, error) {
+			mu.Lock()
+			if cur++; cur > peak {
+				peak = cur
+			}
+			mu.Unlock()
+			time.Sleep(20 * time.Millisecond)
+			mu.Lock()
+			cur--
+			mu.Unlock()
+			return engine.Output{Text: "ok"}, nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := startBroker(t, queue.Config{})
+	startPullWorker(t, ts.URL, reg, "w", limit)
+	rep, err := engine.Run(reg, engine.Options{Workers: 8, Executor: dialQueue(t, ts.URL, QueueOptions{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak > limit {
+		t.Fatalf("peak inflight %d exceeds capacity %d", peak, limit)
+	}
+}
+
+// TestServerStatus: the broker's /v1/status reports its identity,
+// protocol, registered workers, retained jobs and completed tasks.
+func TestServerStatus(t *testing.T) {
+	bs, ts := startBroker(t, queue.Config{})
+	startPullWorker(t, ts.URL, testRegistry(t), "pw", 2)
+	qe := dialQueue(t, ts.URL, QueueOptions{})
+	rep, err := engine.Run(testRegistry(t), engine.Options{Workers: 2, Filter: []string{"mono*"}, Executor: qe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := qe.statusOf(context.Background(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bs.Broker().Stats()
+	if st.Name != "qb" || st.Role != "broker" || st.Capacity != 1 || st.Jobs != want.Jobs || st.Completed != 4 {
+		t.Fatalf("status %+v (broker stats %+v)", st, want)
+	}
+}
+
+// TestServerRejectsMalformedAndForeignSpecs covers the broker's HTTP
+// error paths for submissions: a body that is not JSON and a task
+// stamped with a foreign protocol are both typed bad requests.
+func TestServerRejectsMalformedAndForeignSpecs(t *testing.T) {
+	_, ts := startBroker(t, queue.Config{})
+	post := func(body string) *http.Response {
+		resp, err := http.Post(ts.URL+SubmitPath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	if resp := post("{garbage"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed submission: %s", resp.Status)
+	}
+	if resp := post(`{"proto":"` + api.Version + `","tasks":[{"proto":"old","job":"mono0","shard":-1}]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("foreign task proto: %s", resp.Status)
 	}
 }

@@ -1,19 +1,15 @@
 #!/usr/bin/env bash
-# Loopback end-to-end gate for the remote executors (make e2e-remote).
+# Loopback end-to-end gate for the broker transport (make e2e-remote).
 #
-# Proves the transport-independence guarantee on real daemons, for both
-# distributed topologies:
+# Proves the transport-independence guarantee on real daemons:
 #
-#   push:  a tiny preset run dispatched to dramlockerd over 127.0.0.1
-#          (-remote) must render the same report as the in-process pool
-#          at workers 1 and 4 (modulo timings, normalised exactly like
-#          CI's cold/warm cache gate), and a warm re-run over the shared
-#          -cache-dir must replay 100% from cache without touching the
-#          daemon (-require-cached).
-#   queue: the same runs submitted through a dramlockerd -broker job
+#   queue: a tiny preset run submitted through a dramlockerd -broker job
 #          queue (-broker), served by a registered pull worker
-#          (dramlockerd -pull), must be byte-identical too — same
-#          normalisation, same worker counts, same warm replay gate.
+#          (dramlockerd -pull), must render the same report as the
+#          in-process pool at workers 1 and 4 (modulo timings, normalised
+#          exactly like CI's cold/warm cache gate), and a warm re-run
+#          over a shared -cache-dir must replay 100% from cache
+#          (-require-cached).
 #   crash: a journaled broker (-journal-dir) is SIGKILLed mid-run and
 #          restarted on the same address; the run must survive on the
 #          replayed backlog, the report must stay byte-identical to
@@ -25,14 +21,13 @@ cd "$(dirname "$0")/.."
 
 EXPS=fig1b,mc,table1,fig7a,fig7b,defense
 WORK=$(mktemp -d)
-DAEMON_PID=""
 BROKER_PID=""
 PULL_PID=""
 CRASH_PID=""
 PULL2_PID=""
 RUN_PID=""
 cleanup() {
-    for pid in "$DAEMON_PID" "$BROKER_PID" "$PULL_PID" "$CRASH_PID" "$PULL2_PID" "$RUN_PID"; do
+    for pid in "$BROKER_PID" "$PULL_PID" "$CRASH_PID" "$PULL2_PID" "$RUN_PID"; do
         [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
     done
     rm -rf "$WORK"
@@ -42,55 +37,18 @@ trap cleanup EXIT
 go build -o "$WORK/dramlocker" ./cmd/dramlocker
 go build -o "$WORK/dramlockerd" ./cmd/dramlockerd
 
-# Port 0 lets the kernel pick a free port; the daemon binds before it
-# logs, so the "serving ... on host:port" line is also the ready signal.
-"$WORK/dramlockerd" -addr 127.0.0.1:0 -preset tiny >"$WORK/daemon.log" 2>&1 &
-DAEMON_PID=$!
-
-ADDR=""
-for i in $(seq 1 100); do
-    ADDR=$(sed -nE 's/.* on (127\.0\.0\.1:[0-9]+) .*/\1/p' "$WORK/daemon.log" | head -n1)
-    [ -n "$ADDR" ] && break
-    kill -0 "$DAEMON_PID" 2>/dev/null || { echo "daemon died:"; cat "$WORK/daemon.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "daemon never came up:"; cat "$WORK/daemon.log"; exit 1; }
-echo "daemon up on $ADDR"
-
 # Strip the per-job timing parenthetical and the summary line — the same
 # normalisation as CI's cache gate; everything else must match byte for
 # byte.
 norm() { sed -E 's/^(=== .*) \([^)]*\)( ===)$/\1\2/; /^[0-9]+ jobs, /d' "$1"; }
 
 run_local()  { "$WORK/dramlocker" -preset tiny -exp "$EXPS" -workers "$1" -quiet; }
-run_remote() { "$WORK/dramlocker" -preset tiny -exp "$EXPS" -workers "$1" -quiet -remote "$ADDR" "${@:2}"; }
-
-for w in 1 4; do
-    run_local  "$w" > "$WORK/local$w.txt"
-    run_remote "$w" > "$WORK/remote$w.txt"
-    norm "$WORK/local$w.txt"  > "$WORK/local$w.norm"
-    norm "$WORK/remote$w.txt" > "$WORK/remote$w.norm"
-    if ! diff -u "$WORK/local$w.norm" "$WORK/remote$w.norm"; then
-        echo "FAIL: remote report diverged from local at workers=$w"
-        exit 1
-    fi
-    echo "workers=$w: remote report byte-identical to local"
-done
-
-# Cache-hit replay across the transport: cold remote run populates the
-# disk cache, the warm run must serve 100% from it (still via -remote —
-# replay happens scheduler-side, before any dispatch).
-run_remote 4 -cache-dir "$WORK/rescache" > "$WORK/cold.txt"
-run_remote 4 -cache-dir "$WORK/rescache" -require-cached > "$WORK/warm.txt"
-norm "$WORK/cold.txt" > "$WORK/cold.norm"
-norm "$WORK/warm.txt" > "$WORK/warm.norm"
-diff -u "$WORK/cold.norm" "$WORK/warm.norm"
-echo "warm -remote run replayed 100% from cache ($(wc -l < "$WORK/rescache/results.jsonl") entries)"
 
 # ---- Queue (broker) topology ------------------------------------------
-# Same guarantee through the pull-based job queue: a broker that holds no
-# registry, one registered pull worker that does, and the scheduler
-# submitting over -broker.
+# A broker that holds no registry, one registered pull worker that does,
+# and the scheduler submitting over -broker. Port 0 lets the kernel pick
+# a free port; the broker binds before it logs, so the "brokering on
+# host:port" line is also the ready signal.
 "$WORK/dramlockerd" -broker -addr 127.0.0.1:0 >"$WORK/broker.log" 2>&1 &
 BROKER_PID=$!
 
@@ -110,6 +68,8 @@ PULL_PID=$!
 run_queue() { "$WORK/dramlocker" -preset tiny -exp "$EXPS" -workers "$1" -quiet -broker "$BADDR" "${@:2}"; }
 
 for w in 1 4; do
+    run_local "$w" > "$WORK/local$w.txt"
+    norm "$WORK/local$w.txt" > "$WORK/local$w.norm"
     run_queue "$w" > "$WORK/queue$w.txt"
     norm "$WORK/queue$w.txt" > "$WORK/queue$w.norm"
     if ! diff -u "$WORK/local$w.norm" "$WORK/queue$w.norm"; then
@@ -119,8 +79,10 @@ for w in 1 4; do
     echo "workers=$w: queue report byte-identical to local"
 done
 
-# Warm replay through the broker: the scheduler-side cache short-circuits
-# before any submission, so the gate passes even with the queue in front.
+# Cache-hit replay across the transport: the cold run populates the disk
+# cache, the warm run must serve 100% from it — replay happens
+# scheduler-side, before any submission, so the gate passes even with
+# the queue in front.
 run_queue 4 -cache-dir "$WORK/qcache" > "$WORK/qcold.txt"
 run_queue 4 -cache-dir "$WORK/qcache" -require-cached > "$WORK/qwarm.txt"
 norm "$WORK/qcold.txt" > "$WORK/qcold.norm"
