@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-kernels bench-attack vet fmt-check lint cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
+.PHONY: build test race fuzz-smoke bench-smoke bench-kernels bench-attack vet fmt-check lint cache-gate e2e-remote e2e-chaos e2e-resultplane e2e-ha ci
 
 build:
 	$(GO) build ./...
@@ -11,17 +11,27 @@ build:
 test:
 	$(GO) test ./...
 
-# Race smoke on the concurrent packages: the engine scheduler/executor,
-# sharded state and disk cache, the broker HTTP service with its pull
-# worker and queue executor, the job broker and its wire types, the worker-budget semaphore and the
-# parallel tensor/nn kernels it feeds, the goroutine-parallel BFA
-# candidate scoring and the rowhammer engine it drives, plus the trace
-# replay layer.
+# Race smoke on the concurrent packages: the engine scheduler/executor
+# and its tiered cache, the result store behind every -cache-dir run
+# and the result plane, the broker HTTP service with its pull worker and
+# queue executor, the job broker and its wire types, the worker-budget
+# semaphore and the parallel tensor/nn kernels it feeds, the
+# goroutine-parallel BFA candidate scoring and the rowhammer engine it
+# drives, plus the trace replay layer.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/remote/ \
-		./internal/queue/ ./internal/api/ ./internal/trace/ \
-		./internal/par/ ./internal/tensor/ ./internal/nn/ \
-		./internal/attack/ ./internal/rowhammer/
+		./internal/queue/ ./internal/api/ ./internal/resultplane/ \
+		./internal/trace/ ./internal/par/ ./internal/tensor/ \
+		./internal/nn/ ./internal/attack/ ./internal/rowhammer/
+
+# Fuzz smoke on the result store's loader: arbitrary plane.jsonl bytes
+# (seeded with truncated, garbage, interleaved and torn-tail files) must
+# open cleanly and keep a later Put across a reopen. A short
+# minimisation budget keeps the 10 s window for fuzzing; a failing input
+# lands in internal/resultplane/testdata/fuzz/ as a regression case.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 10s \
+		-fuzzminimizetime 1s ./internal/resultplane/
 
 # Loopback end-to-end gate for the broker transport: boots a dramlockerd
 # job-queue broker and a pull worker on 127.0.0.1, runs the tiny preset
@@ -69,8 +79,9 @@ e2e-ha:
 	bash scripts/e2e_ha.sh
 
 # Persistent result cache gate: a cold tiny-preset run populates the
-# on-disk cache, the warm run must serve 100% from it and render a
-# byte-identical normalised report (CI runs exactly this script).
+# -cache-dir result store (<dir>/plane.jsonl), the warm run must serve
+# 100% from it and render a byte-identical normalised report (CI runs
+# exactly this script).
 cache-gate:
 	bash scripts/cache_gate.sh
 
@@ -140,4 +151,4 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-ci: vet fmt-check lint build test race e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate
+ci: vet fmt-check lint build test race fuzz-smoke e2e-remote e2e-chaos e2e-resultplane e2e-ha cache-gate

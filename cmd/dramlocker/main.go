@@ -66,23 +66,26 @@
 // the raw api.FleetStatus.
 //
 // -plane ADDR attaches this run's cache to a fleet-wide result plane
-// (dramlockerd -result-plane): lookups go plane → local cache →
-// compute, computed results are written through to both, and the
-// plane's claim API ensures only one machine in the fleet computes a
-// given key (others long-poll and replay the winner's result). A dead
-// plane degrades to the local tiers. Requires caching (-no-cache and
-// -plane are mutually exclusive).
+// (dramlockerd -result-plane): lookups go memory → -cache-dir → plane →
+// compute, a plane hit is copied into the -cache-dir (never echoed back
+// to the plane), computed results are written through to every tier,
+// and the plane's claim API ensures only one machine in the fleet
+// computes a given key (others long-poll and replay the winner's
+// result). A dead plane degrades to the local tiers. Requires caching
+// (-no-cache and -plane are mutually exclusive).
 //
 // Caching: results are memoised per job and per shard under a key built
 // from the experiment id, the preset hash and the base seed. By default
 // the cache lives in process memory (deduping repeated and preset-free
-// jobs within one run). With -cache-dir it also persists as JSON lines
-// under that directory, so a re-run of the same presets — even from a new
-// process — replays every shard instead of recomputing; entries are
-// invalidated by preset changes (new hash → new key) and by code changes
-// (experiments.CacheVersion stamp). -no-cache disables caching entirely;
-// -require-cached turns a warm run into a gate (non-zero exit unless
-// every job replayed), which CI uses to guard the persistence path.
+// jobs within one run). With -cache-dir it also persists as a result
+// store under that directory (<dir>/plane.jsonl, the same format a
+// dramlockerd -result-plane -plane-dir writes), so a re-run of the same
+// presets — even from a new process — replays every shard instead of
+// recomputing; entries are invalidated by preset changes (new hash →
+// new key) and by code changes (experiments.CacheVersion stamp).
+// -no-cache disables caching entirely; -require-cached turns a warm run
+// into a gate (non-zero exit unless every job replayed), which CI uses
+// to guard the persistence path.
 //
 // Cancellation: SIGINT/SIGTERM cancel the run — queued work is skipped,
 // in-flight broker jobs are canceled — and the process still renders the
@@ -122,7 +125,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the structured JSON report instead of text")
 	list := flag.Bool("list", false, "list the registered jobs (shard counts and cache keys included) and exit")
 	quiet := flag.Bool("quiet", false, "suppress per-job progress on stderr")
-	cacheDir := flag.String("cache-dir", "", "persist the result cache as JSON lines under this directory (empty = in-memory only)")
+	cacheDir := flag.String("cache-dir", "", "persist the result cache as a result store (plane.jsonl) under this directory (empty = in-memory only)")
 	noCache := flag.Bool("no-cache", false, "disable result caching entirely (recompute everything)")
 	requireCached := flag.Bool("require-cached", false, "fail unless every job is served from the cache (CI warm-run gate)")
 	brokerAddr := flag.String("broker", "", "dramlockerd -broker address (host:port, or a comma-separated failover list); submit tasks through the job queue instead of the in-process pool")
@@ -252,19 +255,15 @@ func run(ctx context.Context, cfg config) error {
 		return showFleet(ctx, firstAddr(cfg.broker), cfg.jsonOut, cfg.watch)
 	}
 
-	cache, err := buildCache(cfg)
+	cache, store, err := buildCache(cfg)
 	if err != nil {
 		return err
 	}
-	defer cache.Close()
-	if cfg.plane != "" {
-		if cache == nil {
-			return fmt.Errorf("-plane needs caching (-no-cache and -plane are mutually exclusive)")
-		}
-		cache.SetRemote(&resultplane.EngineCache{C: resultplane.NewClient(httpBase(cfg.plane), experiments.CacheVersion)})
-		if !cfg.quiet {
-			fmt.Fprintf(os.Stderr, "plane     %s (version %s)\n", httpBase(cfg.plane), experiments.CacheVersion)
-		}
+	if store != nil {
+		defer store.Close()
+	}
+	if cfg.plane != "" && !cfg.quiet {
+		fmt.Fprintf(os.Stderr, "plane     %s (version %s)\n", httpBase(cfg.plane), experiments.CacheVersion)
 	}
 
 	opts := engine.Options{
@@ -585,20 +584,36 @@ func fetchJSON(ctx context.Context, addr, url string, out any) error {
 }
 
 // buildCache resolves the caching flags: disabled, in-memory (the
-// default, deduping within this run) or disk-backed (shared across runs
-// and processes, stamped with experiments.CacheVersion).
-func buildCache(cfg config) (*engine.Cache, error) {
-	switch {
-	case cfg.noCache:
-		if cfg.requireCached {
-			return nil, fmt.Errorf("-require-cached is meaningless with -no-cache")
+// default, deduping within this run) or tiered — a result store opened
+// on -cache-dir (shared across runs and processes) first, then the
+// -plane fleet store. Entries are stamped with experiments.CacheVersion.
+// The returned store, when non-nil, is the caller's to close.
+func buildCache(cfg config) (*engine.Cache, *resultplane.Store, error) {
+	if cfg.noCache {
+		switch {
+		case cfg.requireCached:
+			return nil, nil, fmt.Errorf("-require-cached is meaningless with -no-cache")
+		case cfg.plane != "":
+			return nil, nil, fmt.Errorf("-plane needs caching (-no-cache and -plane are mutually exclusive)")
 		}
-		return nil, nil
-	case cfg.cacheDir != "":
-		return engine.OpenDiskCache(cfg.cacheDir, experiments.CacheVersion)
-	default:
-		return engine.NewCache(), nil
+		return nil, nil, nil
 	}
+	var store *resultplane.Store
+	var tiers []engine.RemoteCache
+	if cfg.cacheDir != "" {
+		s, err := resultplane.Open(cfg.cacheDir)
+		if err != nil {
+			return nil, nil, err
+		}
+		store = s
+		tiers = append(tiers, &resultplane.StorePlane{S: s, Version: experiments.CacheVersion})
+	}
+	if cfg.plane != "" {
+		tiers = append(tiers, &resultplane.EngineCache{C: resultplane.NewClient(httpBase(cfg.plane), experiments.CacheVersion)})
+	}
+	cache := engine.NewCache()
+	cache.SetRemote(tiers...)
+	return cache, store, nil
 }
 
 // jobFilter turns the -exp flag into engine filter patterns. Bare

@@ -17,9 +17,9 @@ import "encoding/json"
 // counting it as a conflict (an equivalence violation worth alerting
 // on, never silently absorbed).
 
-// CachedResult is the persisted form of one task result — the same
-// shape, field order and JSON tags as the engine's disk-cache lines,
-// so plane entries and results.jsonl lines are interchangeable.
+// CachedResult is the persisted form of one task result, as every
+// result tier stores it — a -cache-dir store and the fleet plane hold
+// the same api.CacheEntry records, so a cache dir is a plane dir.
 type CachedResult struct {
 	// Name is the producing unit's full name ("<job>" or
 	// "<job>/<shard>"); replays re-stamp it, so it is diagnostic.

@@ -76,28 +76,3 @@ func BenchmarkShardedRunWarm(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDiskCacheReload times loading a populated cache dir — the
-// startup cost a warm process pays before its first replay.
-func BenchmarkDiskCacheReload(b *testing.B) {
-	dir := b.TempDir()
-	cache, err := OpenDiskCache(dir, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := Run(benchRegistry(b), Options{Workers: 4, Cache: cache}); err != nil {
-		b.Fatal(err)
-	}
-	cache.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := OpenDiskCache(dir, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c.Len() == 0 {
-			b.Fatal("reload found nothing")
-		}
-		c.Close()
-	}
-}

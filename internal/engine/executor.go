@@ -146,10 +146,10 @@ func (e *LocalExecutor) ExecuteStream(ctx context.Context, spec api.TaskSpec, on
 
 // CachingExecutor wraps an executor with a Cache consulted under the
 // task's fully seeded CacheKey — the worker-side cache stack. With a
-// disk-backed Cache carrying a remote tier this gives a daemon the full
-// plane → local disk → compute lookup order, single-flighted both
-// in-process and fleet-wide, with computed results written through to
-// every tier. Tasks without a CacheKey pass straight through.
+// Cache carrying the plane as a tier this gives a daemon the memory →
+// plane → compute lookup order, single-flighted both in-process and
+// fleet-wide, with computed results written through to every tier.
+// Tasks without a CacheKey pass straight through.
 type CachingExecutor struct {
 	// Exec runs tasks that miss; Cache is the stack (never nil).
 	Exec  Executor

@@ -4,20 +4,22 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // fakeRemote is an in-memory RemoteCache that counts its calls.
 type fakeRemote struct {
 	mu       sync.Mutex
-	m        map[string]Result
+	m        map[string]api.CachedResult
 	lookups  int
 	acquires int
 	stores   int
 }
 
-func newFakeRemote() *fakeRemote { return &fakeRemote{m: make(map[string]Result)} }
+func newFakeRemote() *fakeRemote { return &fakeRemote{m: make(map[string]api.CachedResult)} }
 
-func (f *fakeRemote) Lookup(_ context.Context, key string) (Result, bool) {
+func (f *fakeRemote) Lookup(_ context.Context, key string) (api.CachedResult, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.lookups++
@@ -25,7 +27,7 @@ func (f *fakeRemote) Lookup(_ context.Context, key string) (Result, bool) {
 	return r, ok
 }
 
-func (f *fakeRemote) Acquire(_ context.Context, key string) (Result, bool) {
+func (f *fakeRemote) Acquire(_ context.Context, key string) (api.CachedResult, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.acquires++
@@ -33,7 +35,7 @@ func (f *fakeRemote) Acquire(_ context.Context, key string) (Result, bool) {
 	return r, ok
 }
 
-func (f *fakeRemote) Store(_ context.Context, key string, r Result) {
+func (f *fakeRemote) Store(_ context.Context, key string, r api.CachedResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stores++
@@ -46,12 +48,19 @@ func (f *fakeRemote) counts() (lookups, acquires, stores int) {
 	return f.lookups, f.acquires, f.stores
 }
 
+func (f *fakeRemote) get(key string) (api.CachedResult, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r, ok := f.m[key]
+	return r, ok
+}
+
 // TestCachePeekConsultsRemoteAndAdmits proves the lookup order memory →
 // remote, and that a remote hit is admitted locally so the next peek
 // stays local.
 func TestCachePeekConsultsRemoteAndAdmits(t *testing.T) {
 	rem := newFakeRemote()
-	rem.m["k"] = Result{Name: "k", Text: "remote"}
+	rem.m["k"] = api.CachedResult{Name: "k", Text: "remote"}
 	c := NewCache()
 	c.SetRemote(rem)
 
@@ -102,7 +111,7 @@ func TestCacheFinishWritesThroughToRemote(t *testing.T) {
 // locally, without being written back to the remote.
 func TestCacheBeginAdmitsRemoteResultWithoutEcho(t *testing.T) {
 	rem := newFakeRemote()
-	rem.m["k"] = Result{Name: "k", Text: "theirs"}
+	rem.m["k"] = api.CachedResult{Name: "k", Text: "theirs"}
 	c := NewCache()
 	c.SetRemote(rem)
 
@@ -119,5 +128,50 @@ func TestCacheBeginAdmitsRemoteResultWithoutEcho(t *testing.T) {
 	}
 	if _, acquires, _ := rem.counts(); acquires != 1 {
 		t.Fatalf("remote acquires %d, want 1", acquires)
+	}
+}
+
+// TestCacheTwoTiersFillNearerTierWithoutEcho proves the tier order: a
+// hit at tier 2 (the fleet plane) is copied into tier 1 (the local
+// store) and never stored back into tier 2, on both the peek and the
+// begin path, while a computed success lands in both tiers.
+func TestCacheTwoTiersFillNearerTierWithoutEcho(t *testing.T) {
+	near, far := newFakeRemote(), newFakeRemote()
+	far.m["peeked"] = api.CachedResult{Name: "peeked", Text: "far"}
+	far.m["begun"] = api.CachedResult{Name: "begun", Text: "far"}
+	c := NewCache()
+	c.SetRemote(near, far)
+	ctx := context.Background()
+
+	if r, ok := c.peek(ctx, "peeked"); !ok || r.Text != "far" {
+		t.Fatalf("peek via tier 2: ok=%v r=%+v", ok, r)
+	}
+	if r, hit := c.begin(ctx, "begun"); !hit || r.Text != "far" {
+		t.Fatalf("begin via tier 2: hit=%v r=%+v", hit, r)
+	}
+	for _, key := range []string{"peeked", "begun"} {
+		if r, ok := near.get(key); !ok || r.Text != "far" {
+			t.Fatalf("%s: tier-2 hit not admitted into tier 1 (ok=%v r=%+v)", key, ok, r)
+		}
+	}
+	if _, _, stores := far.counts(); stores != 0 {
+		t.Fatalf("tier-2 hits echoed back to tier 2 (stores=%d)", stores)
+	}
+
+	if _, hit := c.begin(ctx, "computed"); hit {
+		t.Fatal("a key no tier holds must be computed")
+	}
+	c.finish("computed", Result{Name: "computed", Text: "mine", Data: map[string]int{"x": 1}})
+	for name, tier := range map[string]*fakeRemote{"tier 1": near, "tier 2": far} {
+		r, ok := tier.get("computed")
+		if !ok || r.Text != "mine" || string(r.Data) != `{"x":1}` {
+			t.Fatalf("%s missing the computed success (ok=%v r=%+v)", name, ok, r)
+		}
+	}
+	if _, _, stores := near.counts(); stores != 3 {
+		t.Fatalf("tier 1 stores=%d, want 3 (two admitted hits + one success)", stores)
+	}
+	if _, _, stores := far.counts(); stores != 1 {
+		t.Fatalf("tier 2 stores=%d, want 1 (the computed success only)", stores)
 	}
 }

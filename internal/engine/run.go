@@ -21,9 +21,9 @@ type Options struct {
 	// BaseSeed feeds the per-job seed derivation (JobSeed).
 	BaseSeed uint64
 	// Cache, when non-nil, replays previously computed results for jobs
-	// with a non-empty Key and stores new successes. Use NewCache for a
-	// process-local cache or OpenDiskCache for one persisted across
-	// processes.
+	// with a non-empty Key and stores new successes. NewCache gives a
+	// process-local cache; SetRemote tiers it over stores persisted
+	// across processes (internal/resultplane).
 	Cache *Cache
 	// OnDone, when non-nil, is invoked once per job as it finishes (a
 	// sharded job reports once, after its merge). Calls are serialised;

@@ -7,12 +7,12 @@ import (
 	"repro/internal/engine"
 )
 
-// CacheVersion stamps every result persisted by the on-disk cache
-// (engine.OpenDiskCache). Bump it whenever a change could alter any
-// experiment's output — a formula fix, a formatting tweak, a new shard
-// layout — so stale entries written by older code are skipped on load.
-// Preset knob changes need no bump: they alter the preset hash inside the
-// cache key.
+// CacheVersion stamps every persisted result (the -cache-dir store and
+// the result plane fold it into their keys). Bump it whenever a change
+// could alter any experiment's output — a formula fix, a formatting
+// tweak, a new shard layout — so stale entries written by older code are
+// never replayed. Preset knob changes need no bump: they alter the
+// preset hash inside the cache key.
 const CacheVersion = "exp1"
 
 // JobNames lists the experiment ids registered per preset, in the order

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/resultplane"
 )
 
 func TestRegisterJobsPopulatesRegistry(t *testing.T) {
@@ -289,19 +290,22 @@ func TestGridJobsAreSharded(t *testing.T) {
 }
 
 // TestWarmDiskCacheServesEveryShard is the persistence acceptance check:
-// a second run over a fresh cache opened on the same directory — a new
-// process, effectively — must replay every job from disk, byte-identical,
-// with 100% cache hits.
+// a second run over a fresh cache tiered on a result store opened on the
+// same directory (what dramlocker -cache-dir builds) — a new process,
+// effectively — must replay every job from disk, byte-identical, with
+// 100% cache hits.
 func TestWarmDiskCacheServesEveryShard(t *testing.T) {
 	dir := t.TempDir()
 	filter := []string{"*/mc", "*/table1", "*/fig7a", "*/fig7b", "*/defense"}
 	pass := func(requireAllCached bool) *engine.Report {
 		t.Helper()
-		cache, err := engine.OpenDiskCache(dir, CacheVersion)
+		store, err := resultplane.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cache.Close()
+		defer store.Close()
+		cache := engine.NewCache()
+		cache.SetRemote(&resultplane.StorePlane{S: store, Version: CacheVersion})
 		reg := engine.NewRegistry()
 		if err := RegisterJobs(reg, Tiny()); err != nil {
 			t.Fatal(err)

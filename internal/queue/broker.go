@@ -1249,13 +1249,18 @@ func (b *Broker) sweep() {
 			b.requeue(l.t)
 		}
 	}
+	// Finished jobs past retention go with every lease they granted:
+	// one pass over the leases, then one over the jobs.
+	retired := func(j *job) bool {
+		return j.complete() && now.Sub(j.finishedAt) > b.cfg.JobRetention
+	}
+	for lid, l := range b.leases {
+		if retired(l.t.job) {
+			delete(b.leases, lid)
+		}
+	}
 	for id, j := range b.jobs {
-		if j.complete() && now.Sub(j.finishedAt) > b.cfg.JobRetention {
-			for lid, l := range b.leases {
-				if l.t.job == j {
-					delete(b.leases, lid)
-				}
-			}
+		if retired(j) {
 			delete(b.jobs, id)
 		}
 	}

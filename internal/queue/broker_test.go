@@ -545,3 +545,55 @@ func TestDoneValidatesResultAgainstLease(t *testing.T) {
 		t.Fatalf("rejected result was recorded: %+v", st)
 	}
 }
+
+// TestJobRetentionForgetsJobAndLeases: once a finished job outlives
+// JobRetention the sweep forgets it and every lease it granted, while a
+// still-running job — and its leases — survive the same sweep.
+func TestJobRetentionForgetsJobAndLeases(t *testing.T) {
+	clk := newClock()
+	b := newBroker(t, Config{JobRetention: time.Minute}, clk)
+	w := hello(t, b, "w1")
+
+	finished := submit(t, b, "", 0, spec("tiny/mc", 0))
+	fl := poll(t, b, w, 1)
+	if len(fl) != 1 {
+		t.Fatalf("leases = %d, want 1", len(fl))
+	}
+	if rep := done(t, b, w, fl[0], "out"); !rep.Accepted {
+		t.Fatalf("first done not accepted: %+v", rep)
+	}
+	running := submit(t, b, "", 0, spec("tiny/fig7a", 0))
+	rl := poll(t, b, w, 1)
+	if len(rl) != 1 {
+		t.Fatalf("leases = %d, want 1", len(rl))
+	}
+	if n := b.Stats().Jobs; n != 2 {
+		t.Fatalf("jobs before retention = %d, want 2", n)
+	}
+
+	clk.advance(2 * time.Minute)
+	w = hello(t, b, "w1") // the first registration expired with the clock
+
+	if _, err := b.Status(finished); !isNotFound(err) {
+		t.Fatalf("retired job status: want not_found, got %v", err)
+	}
+	late := api.TaskDone{Proto: api.Version, WorkerID: w, LeaseID: fl[0].ID, Result: resultFor(fl[0].Task, "out")}
+	if _, err := b.Done(late); !isNotFound(err) {
+		t.Fatalf("late done on a retired job's lease: want not_found, got %v", err)
+	}
+	if st, err := b.Status(running); err != nil || st.State == api.JobDone {
+		t.Fatalf("running job must survive retention: %+v (%v)", st, err)
+	}
+	// The running job's lease is still known: its holder may still finish.
+	if rep := done(t, b, w, rl[0], "out"); !rep.Accepted {
+		t.Fatalf("running job's lease was swept: %+v", rep)
+	}
+	if n := b.Stats().Jobs; n != 1 {
+		t.Fatalf("jobs after retention = %d, want 1", n)
+	}
+}
+
+func isNotFound(err error) bool {
+	ae, ok := api.AsError(err)
+	return ok && ae.Code == api.CodeNotFound
+}

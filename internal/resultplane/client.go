@@ -179,39 +179,6 @@ func (c *Client) Claim(ctx context.Context, key string) (api.ClaimReply, error) 
 	return rep, nil
 }
 
-// Lookup implements the broker's result-plane seam: a plain fetch
-// returning the persisted result form. Any failure is a miss.
-func (c *Client) Lookup(ctx context.Context, key string) (api.CachedResult, bool) {
-	e, ok, err := c.Fetch(ctx, key)
-	if err != nil || !ok {
-		return api.CachedResult{}, false
-	}
-	return e.Result, true
-}
-
-// Status probes the plane daemon's identity endpoint.
-func (c *Client) Status(ctx context.Context) (api.WorkerStatus, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/status", nil)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return api.WorkerStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return api.WorkerStatus{}, remote.DecodeError(resp)
-	}
-	var ws api.WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
-		return api.WorkerStatus{}, err
-	}
-	return ws, nil
-}
-
 // EngineCache adapts a plane Client to the engine's RemoteCache seam:
 // the fleet-wide tier behind a process-local engine.Cache.
 type EngineCache struct {
@@ -221,12 +188,12 @@ type EngineCache struct {
 var _ engine.RemoteCache = (*EngineCache)(nil)
 
 // Lookup fetches without claiming.
-func (ec *EngineCache) Lookup(ctx context.Context, key string) (engine.Result, bool) {
+func (ec *EngineCache) Lookup(ctx context.Context, key string) (api.CachedResult, bool) {
 	e, ok, err := ec.C.Fetch(ctx, key)
 	if err != nil || !ok {
-		return engine.Result{}, false
+		return api.CachedResult{}, false
 	}
-	return engine.FromCachedResult(e.Result), true
+	return e.Result, true
 }
 
 // Acquire arbitrates fleet-wide single-flight for key. The loop is:
@@ -234,30 +201,30 @@ func (ec *EngineCache) Lookup(ctx context.Context, key string) (engine.Result, b
 // own the computation, on denial long-poll the holder's computation
 // and go around. Every transport failure drops out to local compute —
 // a sick plane costs duplicated work, never a stall or a wrong result.
-func (ec *EngineCache) Acquire(ctx context.Context, key string) (engine.Result, bool) {
+func (ec *EngineCache) Acquire(ctx context.Context, key string) (api.CachedResult, bool) {
 	doneMisses := 0
 	for ctx.Err() == nil {
 		e, ok, err := ec.C.Fetch(ctx, key)
 		if err != nil {
-			return engine.Result{}, false
+			return api.CachedResult{}, false
 		}
 		if ok {
-			return engine.FromCachedResult(e.Result), true
+			return e.Result, true
 		}
 		rep, err := ec.C.Claim(ctx, key)
 		if err != nil {
-			return engine.Result{}, false
+			return api.CachedResult{}, false
 		}
 		switch {
 		case rep.Granted:
-			return engine.Result{}, false
+			return api.CachedResult{}, false
 		case rep.Done:
 			// Entry exists server-side but our fetch missed (version or
 			// key validation rejected it, or a freak race). Retry a
 			// couple of times, then compute locally rather than spin.
 			doneMisses++
 			if doneMisses >= 3 {
-				return engine.Result{}, false
+				return api.CachedResult{}, false
 			}
 		default:
 			// Denied: another machine is computing. Park on its result
@@ -273,38 +240,36 @@ func (ec *EngineCache) Acquire(ctx context.Context, key string) (engine.Result, 
 			}
 			e, ok, err := ec.C.WaitFetch(ctx, key, wait)
 			if err != nil {
-				return engine.Result{}, false
+				return api.CachedResult{}, false
 			}
 			if ok {
-				return engine.FromCachedResult(e.Result), true
+				return e.Result, true
 			}
 		}
 	}
-	return engine.Result{}, false
+	return api.CachedResult{}, false
 }
 
 // Store writes through one newly computed success; failures are
-// dropped (the result is safe in the local tiers).
-func (ec *EngineCache) Store(ctx context.Context, key string, r engine.Result) {
+// dropped (the result is safe in the nearer tiers).
+func (ec *EngineCache) Store(ctx context.Context, key string, r api.CachedResult) {
 	if r.Err != "" {
 		return
 	}
-	cr, err := engine.ToCachedResult(r)
-	if err != nil {
-		return
-	}
-	e := api.CacheEntry{Version: engine.CacheVersionTag(ec.C.Version), Key: key, Result: cr}
-	ec.C.Put(ctx, e)
+	ec.C.Put(ctx, api.CacheEntry{Version: engine.CacheVersionTag(ec.C.Version), Key: key, Result: r})
 }
 
-// StorePlane adapts an in-process Store to the broker's result-plane
-// seam — the co-hosted shape (-broker -result-plane in one daemon)
-// where broker prefetches must not loop through HTTP.
+// StorePlane adapts an in-process Store to both result seams: the
+// broker's read-side plane (the co-hosted -broker -result-plane shape,
+// where prefetches must not loop through HTTP) and the engine's
+// RemoteCache (the -cache-dir tier, a Store opened on the directory).
 type StorePlane struct {
 	S *Store
 	// Version is the engine code-version stamp folded into keys.
 	Version string
 }
+
+var _ engine.RemoteCache = (*StorePlane)(nil)
 
 // Lookup fetches key's persisted result straight from the store.
 func (sp *StorePlane) Lookup(ctx context.Context, key string) (api.CachedResult, bool) {
@@ -320,4 +285,23 @@ func (sp *StorePlane) Lookup(ctx context.Context, key string) (api.CachedResult,
 		return api.CachedResult{}, false
 	}
 	return e.Result, true
+}
+
+// Acquire is Lookup: the engine cache in front already single-flights
+// the key, so nothing else in the process can be computing it.
+func (sp *StorePlane) Acquire(ctx context.Context, key string) (api.CachedResult, bool) {
+	return sp.Lookup(ctx, key)
+}
+
+// Store puts one success under its versioned wire key (and, for a
+// store opened on a directory, appends it to plane.jsonl).
+func (sp *StorePlane) Store(_ context.Context, key string, r api.CachedResult) {
+	if r.Err != "" {
+		return
+	}
+	data, err := json.Marshal(api.CacheEntry{Version: engine.CacheVersionTag(sp.Version), Key: key, Result: r})
+	if err != nil {
+		return
+	}
+	sp.S.Put(WireKey(sp.Version, key), data)
 }

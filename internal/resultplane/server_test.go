@@ -151,7 +151,7 @@ func TestCrossProcessSingleFlight(t *testing.T) {
 	var computes atomic.Int64
 	started := make(chan struct{}) // winner reached its compute
 	finish := make(chan struct{})  // release the winner
-	results := make(chan engine.Result, 2)
+	results := make(chan api.CachedResult, 2)
 
 	run := func(owner string) {
 		c := NewClient(srv.URL, "v1")
@@ -164,7 +164,7 @@ func TestCrossProcessSingleFlight(t *testing.T) {
 				close(started)
 			}
 			<-finish
-			r = engine.Result{Name: "k", Text: "computed", Seed: 1, Duration: time.Millisecond}
+			r = api.CachedResult{Name: "k", Text: "computed", Seed: 1, DurationNS: time.Millisecond.Nanoseconds()}
 			ec.Store(context.Background(), "k", r)
 		}
 		results <- r
@@ -212,7 +212,7 @@ func TestAcquireFallsBackOnDeadPlane(t *testing.T) {
 		t.Fatal("dead plane must fall back to local compute, not hit")
 	}
 	// Store against a dead plane is a silent no-op.
-	ec.Store(context.Background(), "k", engine.Result{Name: "k", Text: "x"})
+	ec.Store(context.Background(), "k", api.CachedResult{Name: "k", Text: "x"})
 }
 
 // TestClientValidatesEntries proves a plane answering the wrong version

@@ -121,9 +121,18 @@ func Open(dir string) (*Store, error) {
 	}
 	path := filepath.Join(dir, planeFile)
 	s.load(path)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resultplane: open plane file: %w", err)
+	}
+	// A process killed mid-append leaves a torn, unterminated last
+	// line; terminate it so the first append starts a line of its own
+	// instead of being glued onto the torn one and lost on reload.
+	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+		last := make([]byte, 1)
+		if _, err := f.ReadAt(last, fi.Size()-1); err == nil && last[0] != '\n' {
+			f.Write([]byte{'\n'})
+		}
 	}
 	s.f = f
 	s.path = path
@@ -314,8 +323,8 @@ func (s *Store) Put(key string, data []byte) (string, bool) {
 	if evicted {
 		s.rewrite()
 	} else if line != nil {
-		// Swallow write errors like the disk cache: persistence is an
-		// optimisation; the entry is live in memory regardless.
+		// Swallow write errors: persistence is an optimisation; the
+		// entry is live in memory regardless.
 		f.Write(line)
 	}
 	return e.etag, conflict

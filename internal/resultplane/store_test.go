@@ -3,6 +3,8 @@ package resultplane
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,7 +12,7 @@ import (
 )
 
 // entryBytes builds a valid plane object for key with the given text.
-func entryBytes(t *testing.T, version, key, text string, dur int64) []byte {
+func entryBytes(t testing.TB, version, key, text string, dur int64) []byte {
 	t.Helper()
 	b, err := json.Marshal(api.CacheEntry{
 		Version: version, Key: key,
@@ -201,6 +203,56 @@ func TestStorePersistenceReload(t *testing.T) {
 	}
 	if m := s2.Metrics(); m.Entries != 2 {
 		t.Fatalf("reloaded entries %d, want 2", m.Entries)
+	}
+}
+
+// TestStoreTornTailKeepsNextAppend is the torn-tail regression: a
+// process killed mid-append leaves an unterminated last line, and the
+// next process's first Put must still land on a line of its own rather
+// than being glued onto the torn one and lost on reload.
+func TestStoreTornTailKeepsNextAppend(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := entryBytes(t, "v1", "a", "alpha", 1)
+	s.Put("a", a)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, planeFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"b","data":{"x"`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := entryBytes(t, "v1", "c", "gamma", 3)
+	s2.Put("c", c)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got, _, ok := s3.Get("a"); !ok || string(got) != string(a) {
+		t.Fatalf("entry before the torn tail lost: ok=%v data=%q", ok, got)
+	}
+	if got, _, ok := s3.Get("c"); !ok || string(got) != string(c) {
+		t.Fatalf("first Put after a torn tail lost on reload: ok=%v data=%q", ok, got)
+	}
+	if _, _, ok := s3.Get("b"); ok {
+		t.Fatal("torn entry must not load")
 	}
 }
 

@@ -29,4 +29,4 @@ if ! diff -u "$WORK/cold.norm" "$WORK/warm.norm"; then
     echo "FAIL: warm cached report diverged from the cold run"
     exit 1
 fi
-echo "cache-gate: warm run served everything from cache ($(wc -l < "$WORK/rescache/results.jsonl") entries)"
+echo "cache-gate: warm run served everything from cache ($(wc -l < "$WORK/rescache/plane.jsonl") entries)"

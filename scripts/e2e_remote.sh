@@ -88,7 +88,7 @@ run_queue 4 -cache-dir "$WORK/qcache" -require-cached > "$WORK/qwarm.txt"
 norm "$WORK/qcold.txt" > "$WORK/qcold.norm"
 norm "$WORK/qwarm.txt" > "$WORK/qwarm.norm"
 diff -u "$WORK/qcold.norm" "$WORK/qwarm.norm"
-echo "warm -broker run replayed 100% from cache ($(wc -l < "$WORK/qcache/results.jsonl") entries)"
+echo "warm -broker run replayed 100% from cache ($(wc -l < "$WORK/qcache/plane.jsonl") entries)"
 
 # ---- Crash recovery (journaled broker) --------------------------------
 # SIGKILL a -journal-dir broker mid-run, restart it on the same address
